@@ -1146,7 +1146,7 @@ pub fn e17_pareto_frontiers() -> ExperimentReport {
         notes: vec![
             "One witness survives per distinct objective vector (the lex-greatest (S, Π) achieving it), so the frontier is a pure function of the problem — `tests/pareto_props.rs` proves equality with a brute-force oracle on exhaustively-enumerable problems and bit-identity across threads, the symmetry quotient, and the conflict memo.".into(),
             "The fixed-space and fixed-schedule corners are asserted equal to Procedure 5.1 / the space search under `TieBreak::LexMax` before the row is reported.".into(),
-            "The bandwidth axis is fed by `cfmap_systolic::peak_link_load` — mesh-routed, all channels aggregated per directed link; designs with Π·d̄ < ‖S·d̄‖₁ are unroutable and leave the candidate space. Tracking bandwidth disables the early-stop and the symmetry quotient, so the 4-axis rows screen the full horizon.".into(),
+            "The bandwidth axis is fed by `cfmap_systolic::peak_link_load` — mesh-routed in closed form (hops = ‖S·d̄‖₁, buffers = Π·d̄ − hops; the optimum of the routing ILP on the mesh primitives), all channels aggregated per directed link and counted on exact integer keys; designs with Π·d̄ < ‖S·d̄‖₁ are unroutable and leave the candidate space. Its values equal the ILP-routed reference `peak_link_load_routed`, which the service uses to re-verify every served point. Tracking bandwidth disables the early-stop and the symmetry quotient, so the 4-axis rows screen the full horizon.".into(),
             "A per-link budget (`max_bandwidth`) is a hard feasibility filter: the ≤1 row keeps exactly the designs a single-word-per-cycle mesh can carry.".into(),
         ],
     };

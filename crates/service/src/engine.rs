@@ -37,7 +37,7 @@ use cfmap_core::{
     SearchBudget, SearchTelemetry, SolveRoute, SpaceMap, SymmetryMode, TieBreak,
 };
 use cfmap_model::{algorithms, DependenceMatrix, IndexSet, LinearSchedule, Uda};
-use cfmap_systolic::{peak_link_load, Simulator, SystolicArray};
+use cfmap_systolic::{peak_link_load, peak_link_load_routed, Simulator, SystolicArray};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -753,7 +753,9 @@ impl Engine {
         self.pareto_solves.inc();
         // Independent re-verification: every point must place its
         // computations conflict-free on the simulated array, and its
-        // probed bandwidth must reproduce and respect the budget.
+        // probed bandwidth must reproduce under ILP routing (the
+        // reference the closed-form probe is checked against) and
+        // respect the budget.
         for p in &frontier.points {
             let started = Instant::now();
             let verdict = Simulator::new(&solve_alg, &p.mapping).run();
@@ -763,7 +765,7 @@ impl Engine {
                 Err(e) => return ParetoResponse::Error(e),
             };
             let bandwidth_ok = !tracks_bandwidth
-                || (peak_link_load(&solve_alg, &p.mapping) == p.bandwidth
+                || (peak_link_load_routed(&solve_alg, &p.mapping) == p.bandwidth
                     && req.max_bandwidth.is_none_or(|b| p.bandwidth.is_some_and(|x| x <= b)));
             if !clean || !bandwidth_ok {
                 return ParetoResponse::Error(CfmapError::Internal {

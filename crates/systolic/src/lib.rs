@@ -36,6 +36,6 @@ pub mod stats;
 pub use array::SystolicArray;
 pub use design::{ArrayDesign, DesignError};
 pub use exec::{ConvolutionKernel, DepthKernel, Kernel, LuKernel, MatmulKernel};
-pub use links::{peak_link_load, ChannelReport, ChannelStats, Collision};
+pub use links::{peak_link_load, peak_link_load_routed, ChannelReport, ChannelStats, Collision};
 pub use sim::{SimReport, Simulator};
 pub use stats::UtilizationStats;

@@ -65,12 +65,27 @@ impl ChannelReport {
     }
 }
 
+/// Decompose the PE-space displacement `sd = S·d̄ᵢ` into `hops` unit
+/// steps `(axis, sign)`: `|sdᵣ|` steps along each axis `r` in turn, then
+/// zero-sum `+e₁, −e₁` pairs for a route longer than its net
+/// displacement. Exact for unit-vector primitive sets, which is what the
+/// paper's designs use.
+fn unit_steps(sd: &[i64], hops: i64) -> impl Iterator<Item = (usize, i64)> + '_ {
+    let axis_steps: i64 = sd.iter().map(|d| d.abs()).sum();
+    let pad_pairs = ((hops - axis_steps).max(0) + 1) / 2;
+    sd.iter()
+        .enumerate()
+        .flat_map(|(dim, &delta)| {
+            std::iter::repeat_n((dim, delta.signum()), delta.unsigned_abs() as usize)
+        })
+        .chain(std::iter::repeat_n([(0, 1), (0, -1)], pad_pairs as usize).flatten())
+}
+
 /// Simulate every channel's traffic for `alg` under `mapping`/`routing`.
 ///
-/// The displacement `S·d̄ᵢ` is decomposed into unit steps along array
-/// axes (exact for unit-vector primitive sets, which is what the paper's
-/// designs use); `k`-columns routing farther than the net displacement
-/// are padded with zero-sum hop pairs.
+/// Each datum follows [`unit_steps`] of its displacement `S·d̄ᵢ`, padded
+/// with zero-sum hop pairs when its `k`-column routes farther than the
+/// net displacement.
 pub fn simulate_channels(
     alg: &Uda,
     mapping: &MappingMatrix,
@@ -78,7 +93,6 @@ pub fn simulate_channels(
 ) -> ChannelReport {
     let deps = &alg.deps;
     let m = deps.num_deps();
-    let prim_dims = mapping.k() - 1;
     let sd_mat = mapping.space().as_mat() * deps.as_mat();
 
     let mut collisions = Vec::new();
@@ -100,16 +114,7 @@ pub fn simulate_channels(
             continue; // stationary datum: no link traffic
         }
         let sd: Vec<i64> = sd_mat.col(i).to_i64s().expect("SD fits i64");
-        let mut steps: Vec<(usize, i64)> = Vec::with_capacity(hops as usize);
-        for (dim, &delta) in sd.iter().enumerate().take(prim_dims) {
-            for _ in 0..delta.abs() {
-                steps.push((dim, delta.signum()));
-            }
-        }
-        while (steps.len() as i64) < hops {
-            steps.push((0, 1));
-            steps.push((0, -1));
-        }
+        let steps: Vec<(usize, i64)> = unit_steps(&sd, hops).collect();
 
         // Occupancy per (link position, slot) and per-link counters.
         let mut occupancy: HashMap<(Vec<i64>, i64), Point> = HashMap::new();
@@ -162,11 +167,181 @@ pub fn simulate_channels(
 /// budget `Π·d̄ᵢ < ‖S·d̄ᵢ‖₁` — or a routed quantity leaves the `i64`
 /// interchange range; such a design has no well-defined link traffic
 /// and the resource model treats it as unschedulable.
+///
+/// On the mesh the routing ILP of Definition 2.2 condition 2 has a
+/// closed-form optimum, so no ILP is solved: with `δ = S·d̄ᵢ`, every
+/// feasible `k` has `k₊ⱼ − k₋ⱼ = δⱼ`, hence `Σk ≥ ‖δ‖₁`, and
+/// `k₊ = max(δ, 0)`, `k₋ = max(−δ, 0)` attains that bound inside the
+/// box `0 ≤ k ≤ Π·d̄ᵢ` whenever `‖δ‖₁ ≤ Π·d̄ᵢ`. Each datum then waits
+/// `Π·d̄ᵢ − ‖δ‖₁` cycles and hops along [`unit_steps`]. Every hop is
+/// one exact mixed-radix `u64` key over the bounding box of
+/// `(source PE, axis, sign, cycle)`; the keys go into one buffer, which
+/// is sorted and counted. [`peak_link_load_routed`] is the reference
+/// this kernel must match; the kernel defers to it when a bounding box
+/// is too wide for `u64` keys or a dot product leaves `i128`.
 pub fn peak_link_load(alg: &Uda, mapping: &MappingMatrix) -> Option<u64> {
+    let n = mapping.dim();
+    let rows = mapping.k() - 1;
+    let mu = alg.index_set.mu();
+    let pi = mapping.schedule().as_slice();
+    let s_mat = mapping.space().as_mat();
+    let d_mat = alg.deps.as_mat();
+    let s: Vec<i64> =
+        (0..rows * n).map(|e| s_mat.get(e / n, e % n).to_i64()).collect::<Option<_>>()?;
+
+    // Closed-form routing of every moving channel, and the bounding box
+    // of the (source PE, cycle) pairs its hops occupy.
+    let mut channels: Vec<Channel> = Vec::new();
+    let mut pos_lo = vec![i64::MAX; rows];
+    let mut pos_hi = vec![i64::MIN; rows];
+    let (mut slot_lo, mut slot_hi) = (i64::MAX, i64::MIN);
+    let mut hop_events: u128 = 0;
+    for i in 0..alg.deps.num_deps() {
+        let d: Vec<i64> = (0..n).map(|c| d_mat.get(c, i).to_i64()).collect::<Option<_>>()?;
+        // An i128 overflow here is beyond the kernel's exact range; the
+        // routed reference decides it with arbitrary-precision routing.
+        let Some(budget) = dot_i128(pi, &d) else { return peak_link_load_routed(alg, mapping) };
+        let Some(delta) = s.chunks(n).map(|row| dot_i128(row, &d)).collect::<Option<Vec<_>>>()
+        else {
+            return peak_link_load_routed(alg, mapping);
+        };
+        let budget = i64::try_from(budget).ok()?;
+        let delta: Vec<i64> =
+            delta.into_iter().map(|x| i64::try_from(x).ok()).collect::<Option<_>>()?;
+        let hops: i128 = delta.iter().map(|&x| i128::from(x).abs()).sum();
+        if hops > i128::from(budget) {
+            return None; // fewer cycles than hops: unroutable
+        }
+        let hops = hops as i64; // at most budget, so it fits
+        let buffers = budget - hops;
+
+        // Producers p with p and p + d̄ both inside the box. Saturation
+        // only moves a bound that already lies outside [0, μ].
+        let lo: Vec<i64> = d.iter().map(|&dc| dc.saturating_neg().max(0)).collect();
+        let hi: Vec<i64> = d.iter().zip(mu).map(|(&dc, &m)| m.min(m.saturating_sub(dc))).collect();
+        if hops == 0 || lo.iter().zip(&hi).any(|(l, h)| l > h) {
+            continue; // stationary datum or no producers: no link traffic
+        }
+        let producers =
+            lo.iter().zip(&hi).fold(1u128, |acc, (&l, &h)| acc.saturating_mul((h - l + 1) as u128));
+        hop_events = hop_events.saturating_add(producers.saturating_mul(hops as u128));
+        for (r, row) in s.chunks(n).enumerate() {
+            let (mn, mx) = extent(row, &lo, &hi)?;
+            pos_lo[r] = pos_lo[r].min(mn.checked_add(delta[r].min(0))?);
+            pos_hi[r] = pos_hi[r].max(mx.checked_add(delta[r].max(0))?);
+        }
+        let (mn, mx) = extent(pi, &lo, &hi)?;
+        slot_lo = slot_lo.min(mn.checked_add(buffers)?);
+        slot_hi = slot_hi.max(mx.checked_add(buffers)?.checked_add(hops - 1)?);
+        channels.push(Channel { delta, hops, buffers, lo, hi });
+    }
+    if channels.is_empty() {
+        return Some(0);
+    }
+
+    // Mixed-radix key, cycle fastest: Σᵣ (posᵣ − minᵣ)·w_posᵣ
+    // + (2·axis + [sign > 0])·w_link + (cycle − min). A box too wide
+    // for u64 keys falls back to the routed reference.
+    let width = |lo: i64, hi: i64| (i128::from(hi) - i128::from(lo) + 1) as u128;
+    let w_link = width(slot_lo, slot_hi);
+    let mut span = w_link.checked_mul(2 * rows as u128);
+    let mut w_pos = vec![0u64; rows];
+    for r in (0..rows).rev() {
+        let Some(w) = span.and_then(|v| u64::try_from(v).ok()) else { break };
+        w_pos[r] = w;
+        span = span.and_then(|v| v.checked_mul(width(pos_lo[r], pos_hi[r])));
+    }
+    if span.is_none_or(|v| v > u128::from(u64::MAX)) {
+        return peak_link_load_routed(alg, mapping);
+    }
+    let w_link = w_link as u64;
+    // Every true key lies in [0, span) ⊂ u64, so wrapping arithmetic on
+    // its linear parts is exact.
+    let wrap = |v: i64, w: u64| (v as u64).wrapping_mul(w);
+    // Key gradient along each index axis: S and Π folded into one scalar.
+    let grad: Vec<u64> = (0..n)
+        .map(|c| {
+            (0..rows).fold(pi[c] as u64, |acc, r| acc.wrapping_add(wrap(s[r * n + c], w_pos[r])))
+        })
+        .collect();
+
+    let mut keys: Vec<u64> = Vec::with_capacity(usize::try_from(hop_events).ok()?);
+    let mut step_keys: Vec<u64> = Vec::new();
+    let mut cur: Vec<i64> = Vec::with_capacity(n);
+    for ch in &channels {
+        // Key of hop h relative to its datum's departure key.
+        step_keys.clear();
+        let mut pos_off = 0u64;
+        for (h, (dim, sgn)) in unit_steps(&ch.delta, ch.hops).enumerate() {
+            let link = 2 * dim as u64 + u64::from(sgn > 0);
+            step_keys.push(pos_off.wrapping_add(link * w_link).wrapping_add(h as u64));
+            pos_off = pos_off.wrapping_add(wrap(sgn, w_pos[dim]));
+        }
+        // Departure key of the first producer, then an odometer walk
+        // over the producer box that updates it incrementally.
+        let mut base = (0..n).fold(wrap(ch.buffers.wrapping_sub(slot_lo), 1), |acc, c| {
+            acc.wrapping_add(grad[c].wrapping_mul(ch.lo[c] as u64))
+        });
+        base = (0..rows).fold(base, |acc, r| acc.wrapping_sub(wrap(pos_lo[r], w_pos[r])));
+        cur.clear();
+        cur.extend_from_slice(&ch.lo);
+        'walk: loop {
+            keys.extend(step_keys.iter().map(|&off| base.wrapping_add(off)));
+            let mut c = n;
+            loop {
+                if c == 0 {
+                    break 'walk;
+                }
+                c -= 1;
+                if cur[c] < ch.hi[c] {
+                    cur[c] += 1;
+                    base = base.wrapping_add(grad[c]);
+                    break;
+                }
+                base = base.wrapping_sub(grad[c].wrapping_mul((ch.hi[c] - ch.lo[c]) as u64));
+                cur[c] = ch.lo[c];
+            }
+        }
+    }
+    keys.sort_unstable();
+    Some(keys.chunk_by(|a, b| a == b).map(|run| run.len() as u64).max().unwrap_or(0))
+}
+
+/// One moving dependence channel, routed in closed form: displacement
+/// `δ = S·d̄ᵢ`, `hops = ‖δ‖₁`, `buffers = Π·d̄ᵢ − hops`, and the box
+/// `lo ≤ p ≤ hi` of producers whose consumer `p + d̄ᵢ` is in the index set.
+struct Channel {
+    delta: Vec<i64>,
+    hops: i64,
+    buffers: i64,
+    lo: Vec<i64>,
+    hi: Vec<i64>,
+}
+
+/// `a·b` in exact `i128`, or `None` on overflow.
+fn dot_i128(a: &[i64], b: &[i64]) -> Option<i128> {
+    a.iter().zip(b).try_fold(0i128, |acc, (&x, &y)| acc.checked_add(i128::from(x) * i128::from(y)))
+}
+
+/// Minimum and maximum of `row·p` over the box `lo ≤ p ≤ hi`, or `None`
+/// when a term or partial sum leaves `i64`.
+fn extent(row: &[i64], lo: &[i64], hi: &[i64]) -> Option<(i64, i64)> {
+    row.iter().zip(lo.iter().zip(hi)).try_fold((0i64, 0i64), |(mn, mx), (&a, (&l, &h))| {
+        let (x, y) = (a.checked_mul(l)?, a.checked_mul(h)?);
+        Some((mn.checked_add(x.min(y))?, mx.checked_add(x.max(y))?))
+    })
+}
+
+/// Reference implementation of [`peak_link_load`]: routes every
+/// dependence through the exact routing ILP ([`route`]) and counts each
+/// hop in a map keyed by the full `(source PE, axis, sign, cycle)`
+/// tuple. Slow, but independent of the closed-form kernel; the service
+/// re-verifies every served bandwidth against it and the test suites
+/// use it as their oracle.
+pub fn peak_link_load_routed(alg: &Uda, mapping: &MappingMatrix) -> Option<u64> {
     let prims = InterconnectionPrimitives::mesh(mapping.k() - 1);
     let routing = route(mapping, &alg.deps, &prims).ok()?;
     let deps = &alg.deps;
-    let prim_dims = mapping.k() - 1;
     let sd_mat = mapping.space().as_mat() * deps.as_mat();
 
     // Load per (link source, axis, sign, cycle), all channels together.
@@ -179,16 +354,7 @@ pub fn peak_link_load(alg: &Uda, mapping: &MappingMatrix) -> Option<u64> {
             continue; // stationary datum: no link traffic
         }
         let sd: Vec<i64> = sd_mat.col(i).to_i64s()?;
-        let mut steps: Vec<(usize, i64)> = Vec::with_capacity(hops as usize);
-        for (dim, &delta) in sd.iter().enumerate().take(prim_dims) {
-            for _ in 0..delta.abs() {
-                steps.push((dim, delta.signum()));
-            }
-        }
-        while (steps.len() as i64) < hops {
-            steps.push((0, 1));
-            steps.push((0, -1));
-        }
+        let steps: Vec<(usize, i64)> = unit_steps(&sd, hops).collect();
         for j in alg.index_set.iter() {
             let producer: Point = j.iter().zip(&d).map(|(&ji, &di)| ji - di).collect();
             if !alg.index_set.contains(&producer) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Run the experiment harness and record the results as JSON.
 #
-#   scripts/bench.sh              # all experiments -> BENCH_10.json
+#   scripts/bench.sh              # all experiments -> BENCH_<N>.json
 #   scripts/bench.sh E14          # subset, same output file
 #   BENCH_OUT=/tmp/b.json scripts/bench.sh
 #   CFMAP_BENCH_MS=5 scripts/bench.sh E13   # fast smoke budget
@@ -14,11 +14,12 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-# Default output derives from the current PR/issue number so successive
-# trajectories stop overwriting or stranding each other's files; override
-# with BENCH_OUT for scratch runs.
-ISSUE=10
-OUT=${BENCH_OUT:-BENCH_${ISSUE}.json}
+# The default output is the next point of the committed trajectory: one
+# past the highest BENCH_<N>.json that git tracks, so a run never
+# overwrites a committed file. Override with BENCH_OUT for scratch runs.
+LAST=$(git ls-files 'BENCH_*.json' 2>/dev/null \
+    | sed -n 's/^BENCH_\([0-9][0-9]*\)\.json$/\1/p' | sort -n | tail -n 1)
+OUT=${BENCH_OUT:-BENCH_$(( ${LAST:-0} + 1 )).json}
 
 COMMIT=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
 THREADS=$(nproc 2>/dev/null || echo 1)

@@ -148,6 +148,26 @@ printf '%s\n' "$PARETO_METRICS" | grep -q '^cfmap_pareto_solves_total 1$' \
 printf '%s\n' "$PARETO_METRICS" \
     | grep -q 'cfmapd_requests_total{route="/pareto",status="200"} 1' \
     || { echo "/metrics is missing the /pareto request counter"; exit 1; }
+# Bandwidth gate: a joint frontier that tracks peak link load under a
+# budget of 2. Every design goes through the closed-form bandwidth probe
+# and every served point through the ILP-routed re-check, so the answer
+# must be 200, verified, and no point may exceed the budget.
+BW_BODY='{"algorithm":"matmul","mu":[2],"entry_bound":1,"include_bandwidth":true,"max_bandwidth":2}'
+BW=$("$CFMAP" client --addr "$ADDR" --post /pareto --body "$BW_BODY") \
+    || { echo "bandwidth /pareto failed: $BW"; exit 1; }
+printf '%s\n' "$BW" | grep -q '"verified":true' \
+    || { echo "bandwidth /pareto answered without verification: $BW"; exit 1; }
+BW_LOADS=$(printf '%s\n' "$BW" | grep -o '"bandwidth":[0-9a-z]*' | sed 's/"bandwidth"://')
+[ -n "$BW_LOADS" ] || { echo "bandwidth /pareto returned no bandwidth values: $BW"; exit 1; }
+for LOAD in $BW_LOADS; do
+    case "$LOAD" in
+        0|1|2) ;;
+        *) echo "bandwidth /pareto point has load '$LOAD' over the budget 2: $BW"; exit 1 ;;
+    esac
+done
+"$CFMAP" client --addr "$ADDR" --get /metrics \
+    | grep -q 'cfmapd_requests_total{route="/pareto",status="200"} 2' \
+    || { echo "bandwidth /pareto was not counted as a 200"; exit 1; }
 exec 9>&-          # close stdin: the daemon drains and exits
 wait "$CFMAPD_PID" || { echo "cfmapd did not exit cleanly"; exit 1; }
 CFMAPD_PID=

@@ -7,13 +7,14 @@
 //!    maps × schedules within the objective cap), an independent
 //!    brute-force oracle recomputes feasibility (schedule validity,
 //!    rank, conflict-freedom by index-point enumeration), the VLSI
-//!    cost axes, and the bandwidth axis, then takes the true
-//!    non-dominated set with the lex-greatest witness per vector. The
-//!    frontier must equal it point for point.
+//!    cost axes, and the bandwidth axis (through the ILP-routed
+//!    `peak_link_load_routed`, not the probe's closed-form kernel),
+//!    then takes the true non-dominated set with the lex-greatest
+//!    witness per vector. The frontier must equal it point for point.
 //! 2. **Simulator verification** — every returned point is replayed on
 //!    the cycle-level simulator: zero conflicts, the advertised
 //!    makespan, and (when tracked) exactly the advertised peak link
-//!    load, within the requested budget.
+//!    load under ILP routing, within the requested budget.
 //! 3. **Determinism** — identical frontiers across thread counts,
 //!    `SymmetryMode::Quotient` on/off, and conflict-memo on/off; and
 //!    the classic-search corners: the time corner is bit-identical to
@@ -24,7 +25,7 @@
 use cfmap::core::{find_valid_schedule, is_schedulable, SymmetryMode};
 use cfmap::intlin::non_dominated_indices;
 use cfmap::prelude::*;
-use cfmap::systolic::peak_link_load;
+use cfmap::systolic::{peak_link_load, peak_link_load_routed};
 use cfmap_testkit::{gen, tk_assume};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
@@ -148,7 +149,7 @@ fn all_feasible_designs(
             let Some(mapping) = feasible_mapping(alg, rows, pi) else { continue };
             let mut v = vec![1 + weighted(pi, mu), pes as i64, wires];
             if with_bandwidth {
-                match peak_link_load(alg, &mapping) {
+                match peak_link_load_routed(alg, &mapping) {
                     Some(bw) => v.push(bw as i64),
                     None => continue, // mesh-unroutable: excluded by the probe
                 }
@@ -211,7 +212,7 @@ fn simulator_verify(alg: &Uda, frontier: &ParetoFrontier, max_bandwidth: Option<
         assert_eq!(report.makespan(), p.total_time, "{ctx}: makespan vs total_time");
         if let Some(bw) = p.bandwidth {
             assert_eq!(
-                peak_link_load(alg, &p.mapping),
+                peak_link_load_routed(alg, &p.mapping),
                 Some(bw),
                 "{ctx}: stored bandwidth must reproduce"
             );
